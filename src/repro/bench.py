@@ -313,11 +313,13 @@ def _bench_merlin(quick: bool, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# kNN: fit-time caches vs the legacy per-call recompute
+# kNN: reused-buffer score() and suffix-scoring locate() vs the legacy body
 
 
 def _legacy_knn_score(detector, values: np.ndarray) -> np.ndarray:
-    """The pre-refactor score(): reference squared norms per call."""
+    """The pre-refactor score(): reference norms, fresh temporaries and a
+    full partition per chunk.  The bench and the tests hold the current
+    score() to its exact bits."""
     from .detectors.knn import _window_matrix
     from .detectors.matrix_profile import subsequence_to_point_scores
 
@@ -338,21 +340,47 @@ def _legacy_knn_score(detector, values: np.ndarray) -> np.ndarray:
     return subsequence_to_point_scores(distances, detector.w, n)
 
 
+def _full_series_locate(detector, series) -> int:
+    """The UCR protocol before suffix scoring: score all, mask, argmax."""
+    detector.fit(series.train)
+    scores = np.asarray(detector.score(series.values), dtype=float)
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    scores[: series.train_len] = -np.inf
+    return int(np.argmax(scores))
+
+
 def _bench_knn(quick: bool, repeats: int, w: int) -> dict:
     from .detectors import KnnDistanceDetector
+    from .types import LabeledSeries, Labels
 
     n = 4_096 if quick else 10_000
     values = _walk(n)
     train = values[: n // 3]
     detector = KnnDistanceDetector(w=w, k=1).fit(train)
+    # streaming shape: many short score() calls against one fitted model
+    segment = values[-4 * w :]
+    for chunk in (values, segment):
+        if not np.array_equal(
+            detector.score(chunk), _legacy_knn_score(detector, chunk)
+        ):
+            raise AssertionError(
+                f"kNN score() differs from the legacy body at n={chunk.size}"
+            )
+    series = LabeledSeries(
+        "walk", values, Labels.from_points(n, [n - 2 * w]), train_len=train.size
+    )
+    location = detector.locate(series)
+    if location != _full_series_locate(detector, series):
+        raise AssertionError(
+            f"kNN locate() = {location} disagrees with the full-series score"
+        )
 
     full = _timed(lambda: detector.score(values), repeats)
     full_legacy = _timed(lambda: _legacy_knn_score(detector, values), repeats)
-    # streaming shape: many short score() calls against one fitted model —
-    # here the legacy per-call reference recompute actually dominates
-    segment = values[-4 * w :]
     short = _timed(lambda: detector.score(segment), repeats * 3)
     short_legacy = _timed(lambda: _legacy_knn_score(detector, segment), repeats * 3)
+    located = _timed(lambda: detector.locate(series), repeats)
+    located_full = _timed(lambda: _full_series_locate(detector, series), repeats)
     return {
         "n": n,
         "w": w,
@@ -365,6 +393,9 @@ def _bench_knn(quick: bool, repeats: int, w: int) -> dict:
         "short_score_seconds": short,
         "short_score_legacy_seconds": short_legacy,
         "short_score_speedup": _ratio(short_legacy, short),
+        "locate_seconds": located,
+        "locate_full_score_seconds": located_full,
+        "locate_speedup": _ratio(located_full, located),
     }
 
 
@@ -1541,7 +1572,9 @@ def format_bench(report: dict) -> str:
             f"({knn['full_score_speedup']:.2f}x); short segment "
             f"{knn['short_score_legacy_seconds'] * 1e3:.1f}ms -> "
             f"{knn['short_score_seconds'] * 1e3:.1f}ms "
-            f"({knn['short_score_speedup']:.1f}x)"
+            f"({knn['short_score_speedup']:.1f}x); locate "
+            f"{knn['locate_full_score_seconds']:.3f}s -> "
+            f"{knn['locate_seconds']:.3f}s ({knn['locate_speedup']:.2f}x)"
         )
     oneliner = report["sections"].get("oneliner")
     if oneliner:

@@ -39,23 +39,42 @@ class Detector(ABC):
         method's minimum, never NaN.
         """
 
+    @property
+    def lookback(self) -> int | None:
+        """History a point's score needs, or None for the whole series.
+
+        An integer ``L`` promises that the score of point ``i`` reads no
+        value before ``values[i - L]``, and that scoring
+        ``values[train_len - L:]`` with the state ``fit(train)`` left
+        reproduces the full-series score of every test-region point bit
+        for bit.  :meth:`locate` uses it to skip the training prefix.
+        Read it after :meth:`fit`; the default None is always safe.
+        """
+        return None
+
     def locate(self, series: LabeledSeries) -> int:
         """UCR protocol: index of the most anomalous point in the test
         region, in full-series coordinates.
 
-        Fits on the series' training prefix, scores the whole series and
-        masks the training region out of the argmax.
+        Fits on the series' training prefix, scores the series — from
+        ``lookback`` points before the test region when the detector
+        declares it, else the whole of it — and masks the training
+        region out of the argmax.  An all ``-inf`` test region yields 0.
         """
         self.fit(series.train)
-        scores = np.asarray(self.score(series.values), dtype=float)
-        if scores.shape != series.values.shape:
+        lookback = self.lookback
+        start = 0 if lookback is None else max(series.train_len - lookback, 0)
+        values = series.values[start:]
+        scores = np.asarray(self.score(values), dtype=float)
+        if scores.shape != values.shape:
             raise ValueError(
                 f"{self.name}.score returned shape {scores.shape}, "
-                f"expected {series.values.shape}"
+                f"expected {values.shape}"
             )
         scores = np.where(np.isnan(scores), -np.inf, scores)
-        scores[: series.train_len] = -np.inf
-        return int(np.argmax(scores))
+        scores[: series.train_len - start] = -np.inf
+        best = int(np.argmax(scores))
+        return 0 if scores[best] == -np.inf else start + best
 
     def __repr__(self) -> str:
         return f"<{self.name}>"

@@ -5,6 +5,12 @@ The "decade-old simple ideas" the paper urges the community to remember
 subsequence of the anomaly-free training prefix.  With z-normalization
 this is the classic nearest-neighbour novelty detector that discord
 papers compare against.
+
+Distances come from the ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` expansion, one
+GEMM per block of ``chunk`` query windows, written into two reused
+``chunk × train_windows`` float scratch buffers (plus a ``chunk × w``
+one for ``2q``).  ``locate`` scores only the suffix a test-region point
+can read (see :attr:`lookback`), not the training prefix.
 """
 
 from __future__ import annotations
@@ -52,10 +58,27 @@ class KnnDistanceDetector(Detector):
         self.chunk = chunk
         self._train_windows: np.ndarray | None = None
         self._train_sq: np.ndarray | None = None
+        self._fit_len = 0
 
     @property
     def name(self) -> str:
         return f"kNN(w={self.w},k={self.k})"
+
+    @property
+    def lookback(self) -> int | None:
+        """``w - 1`` plus a round-down onto the ``chunk`` grid, once fitted.
+
+        A point's score reads the ``w`` windows covering it, so ``w - 1``
+        earlier values suffice.  BLAS rounds a GEMM row differently with
+        the block's shape, so the extra ``(fit_len - w + 1) % chunk``
+        points start ``locate``'s suffix on the chunk grid of a
+        full-series score: every block, and so every bit, repeats.
+        Unfitted, ``score`` fits on the leading third of its input, so
+        no suffix is safe.
+        """
+        if self._train_windows is None:
+            return None
+        return self.w - 1 + (self._fit_len - self.w + 1) % self.chunk
 
     def fit(self, train: np.ndarray) -> "KnnDistanceDetector":
         train = np.asarray(train, dtype=float)
@@ -67,6 +90,7 @@ class KnnDistanceDetector(Detector):
             self._train_sq = np.einsum(
                 "ij,ij->i", self._train_windows, self._train_windows
             )
+            self._fit_len = train.size
         return self
 
     def score(self, values: np.ndarray) -> np.ndarray:
@@ -82,12 +106,28 @@ class KnnDistanceDetector(Detector):
         queries = _window_matrix(values, self.w, self.znorm)
         ref_sq = self._train_sq
         kth = min(self.k, reference.shape[0]) - 1
+        rows = min(self.chunk, queries.shape[0])
+        # the same arithmetic, in the same order, as
+        # ‖q‖² + ‖r‖² − (2q)·r on fresh temporaries, hence the same bits
+        sq_buf = np.empty((rows, reference.shape[0]))
+        dot_buf = np.empty_like(sq_buf)
+        twice_buf = np.empty((rows, self.w))
         distances = np.empty(queries.shape[0])
         for start in range(0, queries.shape[0], self.chunk):
             block = queries[start : start + self.chunk]
+            m = block.shape[0]
+            sq, dot, twice = sq_buf[:m], dot_buf[:m], twice_buf[:m]
             block_sq = np.einsum("ij,ij->i", block, block)
-            sq = block_sq[:, None] + ref_sq[None, :] - 2.0 * block @ reference.T
-            np.maximum(sq, 0.0, out=sq)
-            sq.partition(kth, axis=1)
-            distances[start : start + self.chunk] = np.sqrt(sq[:, kth])
+            np.add(block_sq[:, None], ref_sq, out=sq)
+            np.multiply(block, 2.0, out=twice)
+            np.matmul(twice, reference.T, out=dot)
+            np.subtract(sq, dot, out=sq)
+            if kth == 0:
+                # fmin skips NaN exactly as partition sorts it last
+                best = np.fmin.reduce(sq, axis=1)
+            else:
+                sq.partition(kth, axis=1)
+                best = sq[:, kth]
+            # clamping after the selection is exact: max(·, 0) is monotone
+            np.sqrt(np.maximum(best, 0.0), out=distances[start : start + m])
         return subsequence_to_point_scores(distances, self.w, n)

@@ -237,7 +237,9 @@ def _locate_cell_traced(
     """
     spec, series = task
     with tracing_session(enabled=True) as (tracer, registry):
-        with tracer.span("engine.locate"):
+        with tracer.span(
+            "engine.locate", detector=spec.label, series=series.name
+        ):
             location = int(spec.build().locate(series))
         return location, tracer.export(), registry.export_state()
 

@@ -68,6 +68,15 @@ class TestRunBench:
         assert section["movmax_seconds"] > 0
         assert section["speedup"] > 1
 
+    def test_knn_section_checks_bits_and_times_locate(self):
+        # the section raises if score() drifts from the legacy body's bits
+        # or locate() from the full-series protocol
+        report = run_bench(quick=True, repeats=1, sections=("knn",))
+        section = report["sections"]["knn"]
+        assert section["locate_seconds"] > 0
+        assert section["locate_full_score_seconds"] > 0
+        assert "locate" in format_bench(report)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown bench sections"):
             run_bench(sections=("kernel", "warp-drive"))

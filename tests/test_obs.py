@@ -392,6 +392,7 @@ class TestEngineTraceParity:
     SPECS = [
         DetectorSpec.create("diff"),
         DetectorSpec.create("moving_zscore", k=50),
+        DetectorSpec.create("knn", w=32),
     ]
 
     def archive(self):
@@ -420,14 +421,24 @@ class TestEngineTraceParity:
         )
         assert records_serial == records_parallel
         assert metrics_serial == metrics_parallel
+        # each engine.locate names its cell, so rollups can split by detector
+        by_id = {record["id"]: record for record in records_serial}
+        locates = [r for r in records_serial if r["name"] == "engine.locate"]
+        assert len(locates) == len(self.SPECS) * 3
+        for record in locates:
+            cell = by_id[record["parent"]]
+            assert cell["name"] == "engine.cell"
+            for key in ("detector", "series"):
+                assert record["attrs"][key] == cell["attrs"][key]
 
     def test_engine_counters(self):
         _, records, metrics = self.run_traced(1)
-        assert metrics["counters"]["engine_cells"] == 6
-        assert metrics["counters"]["engine_cache_misses"] == 6
+        cells = len(self.SPECS) * 3
+        assert metrics["counters"]["engine_cells"] == cells
+        assert metrics["counters"]["engine_cache_misses"] == cells
         names = [record["name"] for record in records]
-        assert names.count("engine.cell") == 6
-        assert names.count("engine.locate") == 6
+        assert names.count("engine.cell") == cells
+        assert names.count("engine.locate") == cells
         assert names.count("engine.run") == 1
 
 
