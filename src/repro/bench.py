@@ -751,16 +751,17 @@ def _bench_parallel(
     cases=None,
     max_memory_bytes: int | None = None,
 ) -> dict:
-    """Full exact sweeps, serial vs ``jobs=N``, identity asserted.
+    """Full exact sweeps, in-process vs ``jobs=N``, identity asserted.
 
     Every case runs the complete profile with indices — no slices, no
-    extrapolation — once serially and once per jobs value, and raises
-    if a single bit of either array differs.  ``speedup_measured`` is
-    the honest wall-clock ratio on *this* host; ``speedup_modeled`` is
-    the shard-plan critical path, which is what a host with >= jobs
-    idle cores would approach.  ``cpu_count`` is recorded so the two
-    can be read together: on a 1-core container the measured ratio
-    hovers near 1x however good the sharding is.
+    extrapolation — once with the default ``jobs`` (the "serial" row:
+    the shard plan swept in-process, the one kernel path) and once per
+    jobs value, and raises if a single bit of either array differs.
+    ``speedup_measured`` is the honest wall-clock ratio on *this* host;
+    ``speedup_modeled`` is the shard-plan critical path, which is what a
+    host with >= jobs idle cores would approach.  ``cpu_count`` is
+    recorded so the two can be read together: on a 1-core container the
+    measured ratio hovers near 1x however good the sharding is.
     """
     from .detectors import matrix_profile, plan_shards
 
@@ -999,8 +1000,10 @@ def _bench_serve(quick: bool) -> dict:
 def _bench_obs(quick: bool, repeats: int, w: int) -> dict:
     """Price the telemetry layer on the kernel hot path.
 
-    Three timings of the same profile: the sweep+finalize pipeline with
-    no telemetry calls at all (``bare``), through
+    Three timings of the same profile: the shard plan + finalize
+    pipeline with no telemetry calls at all (``bare`` — the same
+    in-process :func:`~repro.detectors.parallel.sharded_sweep` the
+    kernel runs, so the gap prices telemetry alone), through
     :func:`matrix_profile` with the shipped *disabled* tracer
     (``disabled`` — the default every untraced run pays), and inside an
     enabled tracing session (``enabled`` — what ``--trace`` costs).
@@ -1010,12 +1013,8 @@ def _bench_obs(quick: bool, repeats: int, w: int) -> dict:
     microbenchmarks give the per-operation prices behind those totals.
     """
     from .detectors import matrix_profile
-    from .detectors.matrix_profile import (
-        _diagonal_sweep,
-        _finalize,
-        _resolve_chunk,
-        _validated,
-    )
+    from .detectors.matrix_profile import _finalize, _validated
+    from .detectors.parallel import sharded_sweep
     from .detectors.sliding import SlidingStats
     from .obs import MetricsRegistry, Tracer, tracing_session
 
@@ -1029,14 +1028,10 @@ def _bench_obs(quick: bool, repeats: int, w: int) -> dict:
     def bare():
         s, exclusion = _validated(values, w, None, stats)
         mean, inv, constant = s.kernel_stats(w)
-        chunk = _resolve_chunk(
-            s.n - w + 1, exclusion, None, None, need_indices=False
+        swept = sharded_sweep(
+            s, w, exclusion, mean, inv, need_indices=False, jobs=1
         )
-        best, bestj, _ = _diagonal_sweep(
-            s.shifted, w, exclusion, mean, inv,
-            need_indices=False, chunk=chunk,
-        )
-        return _finalize(best, bestj, w, exclusion, constant)
+        return _finalize(swept.best, swept.bestj, w, exclusion, constant)
 
     def disabled():
         return matrix_profile(values, w, stats=stats, with_indices=False)

@@ -72,17 +72,48 @@ __all__ = [
 # The block buffers are column-chunked (see _diagonal_sweep): with an
 # explicit chunk width (or a max_memory_bytes budget) the working set is
 # O(block · chunk); with neither it degenerates to one full-width chunk,
-# i.e. the historical O(block · n) footprint (~2 GB at n = 1e6).
+# an O(block · n) footprint (~2 GB at n = 1e6).
 _DIAG_BLOCK = 128
 _ELEM = np.dtype(float).itemsize
 
-# process-wide default for matrix_profile(..., max_memory_bytes=); the
-# environment variable lets `repro score/run --max-memory` reach engine
-# worker processes whatever their start method is.
+# process-wide defaults for matrix_profile(..., max_memory_bytes=, jobs=).
+# Each lives in a module global mirrored into an environment variable, so
+# `repro ... --max-memory` / `--kernel-jobs` reach engine worker processes
+# whatever their start method is.
 _MEMORY_ENV = "REPRO_MAX_MEMORY"
+_JOBS_ENV = "REPRO_KERNEL_JOBS"
 _default_memory_budget: int | None = None
+_default_kernel_jobs: int | None = None
 
 _MEMORY_UNITS = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
+
+
+def _at_least_one(value, message: str) -> "int | None":
+    """``None`` passes; else ``int(value)``, which must be >= 1."""
+    if value is None:
+        return None
+    value = int(value)
+    if value < 1:
+        raise ValueError(message.format(value))
+    return value
+
+
+def _set_default(slot: str, env: str, value: "int | None") -> None:
+    """Store a process default in module global ``slot`` and in ``env``."""
+    globals()[slot] = value
+    if value is None:
+        os.environ.pop(env, None)
+    else:
+        os.environ[env] = str(value)
+
+
+def _get_default(slot: str, env: str, parse) -> "int | None":
+    """The explicit setting in ``slot``, else ``parse(env value)``."""
+    value = globals()[slot]
+    if value is not None:
+        return value
+    raw = os.environ.get(env)
+    return parse(raw) if raw else None
 
 
 def parse_memory_size(text: "str | int") -> int:
@@ -119,70 +150,41 @@ def set_default_memory_budget(max_memory_bytes: "int | None") -> None:
     worker processes inherit it (fork *and* spawn start methods); this
     is how ``repro score/run --max-memory`` bounds every cell.
     """
-    global _default_memory_budget
-    if max_memory_bytes is not None:
-        max_memory_bytes = int(max_memory_bytes)
-        if max_memory_bytes <= 0:
-            raise ValueError(
-                f"max_memory_bytes must be positive, got {max_memory_bytes}"
-            )
-    _default_memory_budget = max_memory_bytes
-    if max_memory_bytes is None:
-        os.environ.pop(_MEMORY_ENV, None)
-    else:
-        os.environ[_MEMORY_ENV] = str(max_memory_bytes)
+    _set_default(
+        "_default_memory_budget",
+        _MEMORY_ENV,
+        _at_least_one(max_memory_bytes, "max_memory_bytes must be positive, got {}"),
+    )
 
 
 def default_memory_budget() -> "int | None":
     """The active default budget: explicit setting, else environment."""
-    if _default_memory_budget is not None:
-        return _default_memory_budget
-    raw = os.environ.get(_MEMORY_ENV)
-    if not raw:
-        return None
-    return parse_memory_size(raw)
-
-
-# process-wide default for matrix_profile(..., jobs=); mirrored into the
-# environment exactly like the memory budget so `repro ... --kernel-jobs`
-# reaches engine worker processes, where the engine caps it back to 1 to
-# keep one level of process parallelism (no nested pools).
-_JOBS_ENV = "REPRO_KERNEL_JOBS"
-_default_kernel_jobs: int | None = None
+    return _get_default("_default_memory_budget", _MEMORY_ENV, parse_memory_size)
 
 
 def set_default_kernel_jobs(jobs: "int | None") -> None:
     """Set the process-wide default for ``matrix_profile(..., jobs=)``.
 
-    ``None`` removes the default (sweeps stay single-process and
-    unsharded).  The value is mirrored into ``REPRO_KERNEL_JOBS`` so
-    worker processes inherit it whatever their start method; the
-    evaluation engine's pool initializer caps an inherited default to 1
+    ``None`` removes the default (sweeps run their shard plan
+    in-process, as ``jobs=1``).  The value is mirrored into
+    ``REPRO_KERNEL_JOBS`` so worker processes inherit it whatever their
+    start method; the evaluation engine's pool initializer caps it to 1
     so engine parallelism and kernel parallelism never multiply.
     """
-    global _default_kernel_jobs
-    if jobs is not None:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise ValueError(f"kernel jobs must be >= 1, got {jobs}")
-    _default_kernel_jobs = jobs
-    if jobs is None:
-        os.environ.pop(_JOBS_ENV, None)
-    else:
-        os.environ[_JOBS_ENV] = str(jobs)
+    _set_default(
+        "_default_kernel_jobs",
+        _JOBS_ENV,
+        _at_least_one(jobs, "kernel jobs must be >= 1, got {}"),
+    )
 
 
 def default_kernel_jobs() -> "int | None":
     """The active default kernel jobs: explicit setting, else environment."""
-    if _default_kernel_jobs is not None:
-        return _default_kernel_jobs
-    raw = os.environ.get(_JOBS_ENV)
-    if not raw:
-        return None
-    jobs = int(raw)
-    if jobs < 1:
-        raise ValueError(f"{_JOBS_ENV} must be >= 1, got {raw!r}")
-    return jobs
+    return _get_default(
+        "_default_kernel_jobs",
+        _JOBS_ENV,
+        lambda raw: _at_least_one(raw, f"{_JOBS_ENV} must be >= 1, got {raw!r}"),
+    )
 
 
 def sliding_dot_products(query: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -316,16 +318,16 @@ class MatrixProfileResult:
     ``indices`` is ``None`` when the profile was computed with
     ``with_indices=False`` (the fast path detectors use — nothing on the
     scoring path reads neighbour locations).  ``chunk_width`` and
-    ``workspace_bytes`` record how the sweep was tiled: the column-chunk
-    width actually used (``None`` = one full-width chunk; sharded sweeps
-    derive a width per shard, so only an explicit ``chunk_width`` is
-    echoed back) and the exact bytes of sweep scratch it allocated, from
-    the kernel's allocation accounting — for a sharded sweep the
-    *largest single shard*, the per-worker number ``max_memory_bytes``
+    ``workspace_bytes`` record how the sweep was tiled: the leading
+    shard's column-chunk width (``None`` = one full-width chunk; under a
+    budget each shard derives its own) and the exact bytes of sweep
+    scratch the largest single shard allocated, from the kernel's
+    allocation accounting — the per-worker number ``max_memory_bytes``
     divides by ``jobs`` to bound.
 
-    ``jobs``/``shards`` record how a parallel sweep executed (``None``/
-    ``0`` for the single-sweep path); ``report`` is the anytime mode's
+    ``jobs``/``shards`` record how the shard plan executed: the worker
+    count (1 = in-process) and the plan's shard count (0 only when the
+    exclusion zone leaves no diagonal); ``report`` is the anytime mode's
     :class:`ApproxReport` (``None`` for exact sweeps) — when present,
     ``profile`` is a pointwise upper bound and ``indices`` are the
     best neighbours *among the pairs swept*, the witnesses of that
@@ -457,39 +459,16 @@ def _chunk_for_budget(
     return low
 
 
-def _resolve_chunk(
-    m: int,
-    exclusion: int,
-    max_memory_bytes: "int | None",
-    chunk_width: "int | None",
-    *,
-    need_indices: bool,
-) -> "int | None":
-    """Pick the sweep's column-chunk width.
-
-    An explicit ``chunk_width`` wins; otherwise a budget (argument or
-    process-wide default) derives the widest fitting chunk; otherwise
-    ``None`` keeps the historical single full-width chunk.
-    """
-    if chunk_width is not None:
-        chunk_width = int(chunk_width)
-        if chunk_width < 1:
-            raise ValueError(f"chunk_width must be >= 1, got {chunk_width}")
-        return chunk_width
-    budget = (
-        max_memory_bytes if max_memory_bytes is not None else default_memory_budget()
-    )
-    if budget is None:
-        return None
-    return _chunk_for_budget(m, exclusion, int(budget), need_indices=need_indices)
-
-
 def _alive_min(best: np.ndarray, exclusion: int) -> float:
     """Smallest running correlation over rows that have any valid pair.
 
     Rows in ``[m - exclusion, exclusion)`` (non-empty only when
     ``2 * exclusion > m``) can never pair with anything; their -inf
-    sentinel must not block early abandonment.
+    sentinel must not block early abandonment.  ``exclusion`` is the
+    caller's trivial-match zone, never a shard's first diagonal: a
+    shard starting at ``d_lo`` leaves rows ``[m - d_lo, d_lo)`` to
+    other shards, and exempting them would call a partial profile
+    saturated.
     """
     m = best.size
     if 2 * exclusion <= m:
@@ -513,7 +492,9 @@ def _diagonal_sweep(
     abandon: float | None = None,
     block: int = _DIAG_BLOCK,
     chunk: int | None = None,
+    start: int | None = None,
     diag_limit: int | None = None,
+    out: "tuple[np.ndarray, np.ndarray | None] | None" = None,
     tracer=None,
 ) -> tuple[np.ndarray, np.ndarray | None, int] | None:
     """mpx diagonal traversal over the (mean-shifted) series ``x``.
@@ -531,7 +512,9 @@ def _diagonal_sweep(
     ``workspace_bytes`` is the exact scratch footprint from allocation
     accounting), or ``None`` when ``abandon`` is given and every
     subsequence's running correlation already exceeds it — i.e. no
-    subsequence can still beat the corresponding distance floor.
+    subsequence can still beat the corresponding distance floor.  The
+    check runs after every block, over every row that has a valid pair
+    under ``exclusion``.
 
     ``chunk`` bounds the column width of the block buffers: each
     diagonal block is swept in fixed-width column chunks, the raw
@@ -542,19 +525,32 @@ def _diagonal_sweep(
     order whatever the width — results are bit-identical to the
     unchunked sweep (``chunk=None``, one full-width chunk).
 
+    ``start`` (default ``exclusion``) is the first diagonal swept and
     ``diag_limit`` stops after that many diagonals, covering only pairs
-    with separation in ``[exclusion, exclusion + diag_limit)``.  The
-    scaling bench uses it to measure the peak working set (the first
-    block's buffers are the widest) and extrapolate timings without
-    paying the full O(m²) sweep; the partial ``best`` it returns is
-    *not* a valid profile.
+    with separation in ``[start, start + diag_limit)``: one shard of
+    :func:`repro.detectors.parallel.sharded_sweep`'s plan.  The scaling
+    bench also uses ``diag_limit`` to measure the peak working set (the
+    first block's buffers are the widest) without paying the full
+    O(m²) sweep.  A partial range's ``best`` is *not* a valid profile.
+
+    ``out=(best, bestj)`` accumulates into the caller's running arrays
+    instead of fresh ones (``bestj`` must be given iff
+    ``need_indices``); they still count toward ``workspace_bytes``.
+    Sweeping consecutive shards into the same arrays in ascending
+    diagonal order performs exactly the float ops, in exactly the
+    order, of one whole-range sweep.
     """
     n = x.size
     m = n - w + 1
+    start = exclusion if start is None else start
     ws = _Workspace()
-    best = ws.full(m, -np.inf)
-    bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
-    if exclusion >= m:
+    if out is None:
+        best = ws.full(m, -np.inf)
+        bestj = ws.zeros(m, dtype=np.int64) if need_indices else None
+    else:
+        best, bestj = out
+        ws.bytes += best.nbytes + (0 if bestj is None else bestj.nbytes)
+    if start >= m:
         return best, bestj, ws.bytes
 
     # differential update terms (the mpx formulation): along diagonal d,
@@ -576,7 +572,7 @@ def _diagonal_sweep(
     np.multiply(mean, q.sum(), out=anchor)
     c0 -= anchor
 
-    L0 = m - exclusion
+    L0 = m - start
     B0 = min(block, L0)
     cw0 = L0 if chunk is None else max(1, min(int(chunk), L0))
     sw0 = cw0 + B0  # widest skewed-reduction target
@@ -593,8 +589,8 @@ def _diagonal_sweep(
         colarg = ws.empty(L0, dtype=np.intp)
         idx = ws.arange(m)
 
-    stop = m if diag_limit is None else min(m, exclusion + int(diag_limit))
-    for d in range(exclusion, stop, block):
+    stop = m if diag_limit is None else min(m, start + int(diag_limit))
+    for d in range(start, stop, block):
         B = min(block, m - d)
         L = m - d
         if tracer is not None:
@@ -776,48 +772,80 @@ def _validated(
     return stats, w if exclusion is None else exclusion
 
 
-def _resolve_jobs(jobs: "int | None") -> "int | None":
-    """Explicit ``jobs`` wins; otherwise the process-wide default."""
+def _resolve_jobs(jobs: "int | None") -> int:
+    """Explicit ``jobs`` wins; then the process-wide default; then 1."""
     if jobs is None:
-        return default_kernel_jobs()
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+        return default_kernel_jobs() or 1
+    return _at_least_one(jobs, "jobs must be >= 1, got {}")
 
 
-def _worker_budget(
-    max_memory_bytes: "int | None", jobs: int
-) -> "tuple[int | None, int | None]":
-    """Split a process-level budget into per-worker shares.
+def _run_shards(
+    span_name: str,
+    span_attrs: dict,
+    stats: SlidingStats,
+    w: int,
+    exclusion: int,
+    *,
+    need_indices: bool,
+    max_memory_bytes: "int | None",
+    chunk_width: "int | None",
+    jobs: "int | None",
+    abandon: "float | None" = None,
+    diag_limit: "int | None" = None,
+):
+    """The one execution path: the shard plan under one parent span.
 
-    Returns ``(budget, per_worker)``.  ``max_memory_bytes`` stays an
-    honest *process* cap under parallelism: each of the ``jobs`` workers
-    gets an equal share, so the sum of live shard workspaces never
-    exceeds the budget (``workspace_bytes × jobs <= budget`` — asserted
-    after the sweep against the kernel's exact allocation accounting).
+    Resolves ``jobs`` and the per-worker memory budget, runs
+    :func:`repro.detectors.parallel.sharded_sweep`, splices the shards'
+    traces and metrics into the parent (in shard order: deterministic
+    and jobs-independent, so the merged span tree is identical whether
+    the shards ran in-process or across any number of pool workers),
+    and returns ``(jobs, outcome, constant)``.
     """
+    from .parallel import sharded_sweep
+
+    mean, inv, constant = stats.kernel_stats(w)
+    jobs = _resolve_jobs(jobs)
+    # the budget stays an honest *process* cap under parallelism: each
+    # of the jobs workers sizes its shards against an equal share, so
+    # live shard workspaces never sum past it (asserted below against
+    # the kernel's exact allocation accounting)
     budget = (
         max_memory_bytes if max_memory_bytes is not None else default_memory_budget()
     )
-    if budget is None:
-        return None, None
-    budget = int(budget)
-    return budget, budget // jobs
-
-
-def _adopt_shards(tracer, registry, outcome) -> None:
-    """Splice shard traces/metrics into the parent, in shard order.
-
-    Adoption order is the shard plan's order — deterministic and
-    jobs-independent — so the merged span tree is identical whether the
-    shards ran in-process or across any number of pool workers.
-    """
-    for records, state in outcome.exports:
-        if records:
-            tracer.adopt(records)
-        if state:
-            registry.merge_state(state)
+    per_worker = None if budget is None else int(budget) // jobs
+    tracer = get_tracer()
+    registry = get_registry()
+    with tracer.span(span_name, n=stats.n, w=w, **span_attrs, jobs=jobs) as span:
+        outcome = sharded_sweep(
+            stats,
+            w,
+            exclusion,
+            mean,
+            inv,
+            need_indices=need_indices,
+            jobs=jobs,
+            chunk_width=chunk_width,
+            worker_budget=per_worker,
+            abandon=abandon,
+            diag_stop=None if diag_limit is None else exclusion + diag_limit,
+            traced=tracer.enabled,
+        )
+        if span is not None:
+            span.set(shards=len(outcome.shards))
+            if outcome.abandoned:
+                span.set(abandoned=True)
+        for records, state in outcome.exports:
+            if records:
+                tracer.adopt(records)
+            if state:
+                registry.merge_state(state)
+    registry.counter("mpx_shards").inc(len(outcome.shards))
+    assert budget is None or outcome.workspace_bytes * jobs <= budget, (
+        f"per-worker budgeting violated: {outcome.workspace_bytes} bytes/"
+        f"worker × {jobs} jobs exceeds the {budget}-byte process budget"
+    )
+    return jobs, outcome, constant
 
 
 def matrix_profile(
@@ -842,27 +870,26 @@ def matrix_profile(
     tracking when only the distances matter — that is the detector fast
     path, roughly a third faster.
 
-    ``max_memory_bytes`` caps the sweep's scratch working set: the
-    kernel derives the widest column-chunk width whose allocations fit
-    the budget (exact accounting, reported as
-    :attr:`MatrixProfileResult.workspace_bytes`) and raises
+    Every sweep runs one plan: the diagonal range is cut into
+    block-aligned shards (:func:`repro.detectors.parallel.plan_shards`)
+    that depend only on the problem shape.  ``jobs`` is how many worker
+    processes sweep them; ``jobs=1`` sweeps them in-process, in
+    ascending diagonal order, into one shared running profile — the
+    float ops of a single whole-range sweep.  ``None`` defers to
+    :func:`set_default_kernel_jobs` / ``REPRO_KERNEL_JOBS``
+    (`repro … --kernel-jobs`), else 1.  Profiles *and* neighbour
+    indices are bit-identical for every ``jobs`` value.
+
+    ``max_memory_bytes`` caps the sweep's scratch working set: each of
+    the ``jobs`` workers gets an equal share, from which the kernel
+    derives the widest column-chunk width that fits each shard (exact
+    accounting; ``workspace_bytes × jobs`` honours the cap) and raises
     ``ValueError`` if even chunk width 1 cannot fit.  ``chunk_width``
     sets the width directly (testing/tuning knob) and wins over any
     budget.  With neither, the process-wide default from
     :func:`set_default_memory_budget` / ``REPRO_MAX_MEMORY`` applies;
-    unbounded means one full-width chunk, the fastest layout.  Results
-    are bit-identical for every chunk width.
-
-    ``jobs`` shards the diagonal sweep across that many worker
-    processes (``jobs=1``: the same shard plan, in-process).  Shards
-    are block-aligned and merged with the serial first-occurrence tie
-    rule, so profiles *and* neighbour indices are bit-identical to the
-    single-sweep kernel for every ``jobs`` value; the memory budget is
-    divided per worker (``workspace_bytes`` then reports the largest
-    single shard, and ``workspace_bytes × jobs`` honours the process
-    cap).  ``None`` defers to :func:`set_default_kernel_jobs` /
-    ``REPRO_KERNEL_JOBS`` (`repro … --kernel-jobs`), else stays on the
-    historical single-sweep path.
+    unbounded means one full-width chunk per shard, the fastest layout.
+    Results are bit-identical for every chunk width.
 
     ``approx`` enables the anytime mode: sweep only the leading
     diagonals covering at least that fraction of the pair budget and
@@ -872,95 +899,37 @@ def matrix_profile(
     never loosens any entry — and composes with ``jobs``.
     """
     stats, exclusion = _validated(values, w, exclusion, stats)
-    mean, inv, constant = stats.kernel_stats(w)
     m = stats.n - w + 1
-    jobs = _resolve_jobs(jobs)
     diag_limit, report = _resolve_approx(approx, m - exclusion)
-    tracer = get_tracer()
+    span_attrs = {"chunk": chunk_width, "with_indices": with_indices}
+    if report is not None:
+        span_attrs.update(
+            approx=report.fraction, diag_limit=report.diagonals_swept
+        )
+    jobs, outcome, constant = _run_shards(
+        "mpx.profile",
+        span_attrs,
+        stats,
+        w,
+        exclusion,
+        need_indices=with_indices,
+        max_memory_bytes=max_memory_bytes,
+        chunk_width=chunk_width,
+        jobs=jobs,
+        diag_limit=diag_limit,
+    )
+    profile, indices = _finalize(outcome.best, outcome.bestj, w, exclusion, constant)
     registry = get_registry()
-
-    if jobs is None:
-        chunk = _resolve_chunk(
-            m,
-            exclusion,
-            max_memory_bytes,
-            chunk_width,
-            need_indices=with_indices,
-        )
-        with tracer.span(
-            "mpx.profile",
-            n=stats.n,
-            w=w,
-            chunk=chunk,
-            with_indices=with_indices,
-        ) as span:
-            if span is not None and report is not None:
-                span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-            best, bestj, workspace = _diagonal_sweep(
-                stats.shifted,
-                w,
-                exclusion,
-                mean,
-                inv,
-                need_indices=with_indices,
-                chunk=chunk,
-                diag_limit=diag_limit,
-                tracer=tracer if tracer.enabled else None,
-            )
-            profile, indices = _finalize(best, bestj, w, exclusion, constant)
-        shards = 0
-    else:
-        from .parallel import sharded_sweep
-
-        budget, per_worker = _worker_budget(max_memory_bytes, jobs)
-        with tracer.span(
-            "mpx.profile",
-            n=stats.n,
-            w=w,
-            chunk=chunk_width,
-            with_indices=with_indices,
-            jobs=jobs,
-        ) as span:
-            if span is not None and report is not None:
-                span.set(approx=report.fraction, diag_limit=report.diagonals_swept)
-            outcome = sharded_sweep(
-                stats.values,
-                w,
-                exclusion,
-                need_indices=with_indices,
-                jobs=jobs,
-                chunk_width=chunk_width,
-                worker_budget=per_worker,
-                diag_stop=(
-                    None if diag_limit is None else exclusion + diag_limit
-                ),
-                traced=tracer.enabled,
-            )
-            if span is not None:
-                span.set(shards=len(outcome.shards))
-            _adopt_shards(tracer, registry, outcome)
-            profile, indices = _finalize(
-                outcome.best, outcome.bestj, w, exclusion, constant
-            )
-        workspace = outcome.workspace_bytes
-        shards = len(outcome.shards)
-        chunk = chunk_width
-        registry.counter("mpx_shards").inc(shards)
-        assert budget is None or workspace * jobs <= budget, (
-            f"per-worker budgeting violated: {workspace} bytes/worker × "
-            f"{jobs} jobs exceeds the {budget}-byte process budget"
-        )
-
     registry.counter("mpx_profiles").inc()
-    registry.gauge("mpx_workspace_bytes").set(workspace)
+    registry.gauge("mpx_workspace_bytes").set(outcome.workspace_bytes)
     return MatrixProfileResult(
         w=w,
         profile=profile,
         indices=indices,
-        chunk_width=chunk,
-        workspace_bytes=workspace,
+        chunk_width=outcome.chunk_width,
+        workspace_bytes=outcome.workspace_bytes,
         jobs=jobs,
-        shards=shards,
+        shards=len(outcome.shards),
         report=report,
     )
 
@@ -980,92 +949,43 @@ def discord_search(
 
     ``normalized_floor`` enables MERLIN-style early abandonment: it is a
     length-normalized distance (``d / sqrt(w)``), and the sweep aborts —
-    returning ``None`` — as soon as *every* subsequence already has a
-    neighbour at or below that floor, because the length then cannot
-    improve on the best discord found so far.  ``max_memory_bytes`` /
-    ``chunk_width`` bound the sweep's working set exactly as in
+    returning ``None`` — as soon as *every* subsequence that has a
+    valid neighbour already has one at or below that floor, because the
+    length then cannot improve on the best discord found so far.
+    ``max_memory_bytes`` / ``chunk_width`` / ``jobs`` act exactly as in
     :func:`matrix_profile`, so MERLIN's whole length sweep runs inside
     the budget.
 
-    ``jobs`` shards the sweep across worker processes exactly as in
-    :func:`matrix_profile` (same bit-identical merge, same per-worker
-    budget split).  Early abandonment stays sound under sharding: a
-    shard that saturates on its own diagonals proves the merged profile
-    saturates too, and the merged result gets the same final
-    all-subsequences check the serial sweep ends on — so the
-    abandoned/not-abandoned answer is identical for every ``jobs``.
+    Abandonment is decided on the merged running profile, under this
+    call's ``exclusion``, so the answer is the same for every ``jobs``.
+    In-process the shards share one running profile, checked after
+    every block — the serial rule.  A pool shard sees only its own
+    diagonals; its rows' partial maxima are lower bounds on the merged
+    ones, so it may stop only when all of them (every row with a valid
+    pair, not just the rows it covers) clear the threshold, and the
+    merged profile gets the final check.
     """
     stats, exclusion = _validated(values, w, exclusion, stats)
-    mean, inv, constant = stats.kernel_stats(w)
     abandon = None
     if normalized_floor is not None and np.isfinite(normalized_floor):
         # d/sqrt(w) <= floor  ⇔  corr >= 1 - floor²/2, identically in w
         abandon = 1.0 - 0.5 * float(normalized_floor) ** 2
-    jobs = _resolve_jobs(jobs)
-    tracer = get_tracer()
-    registry = get_registry()
-    if jobs is None:
-        chunk = _resolve_chunk(
-            stats.n - w + 1,
-            exclusion,
-            max_memory_bytes,
-            chunk_width,
-            need_indices=False,
-        )
-        with tracer.span("mpx.discord_search", n=stats.n, w=w) as span:
-            swept = _diagonal_sweep(
-                stats.shifted,
-                w,
-                exclusion,
-                mean,
-                inv,
-                need_indices=False,
-                abandon=abandon,
-                chunk=chunk,
-                tracer=tracer if tracer.enabled else None,
-            )
-            if swept is None:
-                if span is not None:
-                    span.set(abandoned=True)
-                registry.counter("mpx_abandoned_sweeps").inc()
-                return None
-        best, _, _ = swept
-    else:
-        from .parallel import sharded_sweep
-
-        _budget, per_worker = _worker_budget(max_memory_bytes, jobs)
-        with tracer.span(
-            "mpx.discord_search", n=stats.n, w=w, jobs=jobs
-        ) as span:
-            outcome = sharded_sweep(
-                stats.values,
-                w,
-                exclusion,
-                need_indices=False,
-                jobs=jobs,
-                chunk_width=chunk_width,
-                worker_budget=per_worker,
-                abandon=abandon,
-                traced=tracer.enabled,
-            )
-            if span is not None:
-                span.set(shards=len(outcome.shards))
-            _adopt_shards(tracer, registry, outcome)
-            registry.counter("mpx_shards").inc(len(outcome.shards))
-            # the serial sweep's abandon rule is a final-state property
-            # (the running minimum only grows); a shard abandoning on
-            # its own subset already implies it, but the merged check
-            # keeps the answer identical when no single shard saturates
-            if outcome.abandoned or (
-                abandon is not None
-                and _alive_min(outcome.best, exclusion) >= abandon
-            ):
-                if span is not None:
-                    span.set(abandoned=True)
-                registry.counter("mpx_abandoned_sweeps").inc()
-                return None
-        best = outcome.best
-    profile, _ = _finalize(best, None, w, exclusion, constant)
+    _jobs, outcome, constant = _run_shards(
+        "mpx.discord_search",
+        {},
+        stats,
+        w,
+        exclusion,
+        need_indices=False,
+        max_memory_bytes=max_memory_bytes,
+        chunk_width=chunk_width,
+        jobs=jobs,
+        abandon=abandon,
+    )
+    if outcome.abandoned:
+        get_registry().counter("mpx_abandoned_sweeps").inc()
+        return None
+    profile, _ = _finalize(outcome.best, None, w, exclusion, constant)
     finite = np.where(np.isfinite(profile), profile, -np.inf)
     location = int(np.argmax(finite))
     return location, float(finite[location])
@@ -1120,9 +1040,9 @@ class MatrixProfileDetector(Detector):
     ``max_memory_bytes`` caps the kernel's sweep workspace (chunk width
     auto-derived); ``None`` defers to the process-wide default set via
     ``repro score/run --max-memory`` or ``REPRO_MAX_MEMORY``.  ``jobs``
-    shards the sweep across worker processes (``None`` defers to
-    ``--kernel-jobs`` / ``REPRO_KERNEL_JOBS``) — scores are
-    bit-identical either way.  ``approx`` trades exactness for speed:
+    is how many worker processes sweep the shard plan (``None`` defers
+    to ``--kernel-jobs`` / ``REPRO_KERNEL_JOBS``, else 1: in-process) —
+    scores are bit-identical either way.  ``approx`` trades exactness for speed:
     scores come from the anytime upper-bound profile over that fraction
     of the pair budget; unlike ``jobs`` it *changes the output*, which
     is why it is a spec parameter that reaches manifests and cache keys.

@@ -204,16 +204,14 @@ def _pool_worker_init() -> None:
     (like the memory budget), but an engine already running ``--jobs``
     cells in parallel must not let each cell open its own kernel pool —
     that would oversubscribe the machine ``jobs × kernel_jobs`` ways.
-    Workers therefore cap an inherited kernel-jobs default to 1: the
-    sweep keeps its (jobs-independent) shard plan in-process, so
-    results and canonical traces stay identical to a ``--jobs 1`` run
-    where the kernel pool is allowed.  With no kernel-jobs default set
-    this is a no-op and cells keep the historical unsharded sweep.
+    Workers therefore set the kernel-jobs default to 1, which is also
+    what an unset default means: the sweep runs its (jobs-independent)
+    shard plan in-process, so results and canonical traces stay
+    identical to a ``--jobs 1`` run where the kernel pool is allowed.
     """
-    from ..detectors import default_kernel_jobs, set_default_kernel_jobs
+    from ..detectors import set_default_kernel_jobs
 
-    if default_kernel_jobs() is not None:
-        set_default_kernel_jobs(1)
+    set_default_kernel_jobs(1)
 
 
 def _locate_cell(task: tuple[DetectorSpec, LabeledSeries]) -> int:

@@ -1,16 +1,23 @@
 """Sharded (``jobs=``) and anytime (``approx=``) mpx sweeps.
 
-The parallel contract is stronger than "close enough": the sharded
-sweep must be **bit-identical** to the serial one — profiles AND
-neighbour indices — for every jobs value, because shard boundaries are
-block-aligned (every float op inside a block is the op the serial
-sweep performs), the shard plan depends only on the problem shape, and
-shards merge in ascending diagonal order with a strict ``>`` that
-reproduces the serial first-occurrence tie rule.  ``jobs=1`` runs the
-identical shard plan in-process, so the cheap property sweeps below
-exercise planning + merge on every input family without paying pool
-start-up per hypothesis example; real multi-process pools are covered
-by the smaller explicit grids.
+Every sweep runs the shard plan; ``jobs`` only says how many processes
+consume it.  The contract is stronger than "close enough": the result
+must be **bit-identical** to one whole-range ``_diagonal_sweep`` —
+profiles AND neighbour indices — for every jobs value, because shard
+boundaries are block-aligned (every float op inside a block is the op
+the whole-range sweep performs), the shard plan depends only on the
+problem shape, in-process shards accumulate into one shared running
+profile in ascending diagonal order, and pool shards merge in that
+order with a strict ``>`` that reproduces the first-occurrence tie
+rule.  ``jobs=None``/``1`` run the plan in-process, so the cheap
+property sweeps below exercise planning on every input family without
+paying pool start-up per hypothesis example; real multi-process pools
+are covered by the smaller explicit grids.
+
+Early abandonment (``discord_search(normalized_floor=)``) is decided on
+the merged profile: the answer must follow the exact-profile rule —
+abandoned iff every row that has a valid pair already has a neighbour
+at or below the floor — whatever the jobs value.
 
 The anytime contract is an upper bound: ``approx=f`` sweeps a leading
 prefix of diagonals, so every reported distance is >= the exact one —
@@ -27,20 +34,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detectors import (
+    SlidingStats,
     discord_search,
     matrix_profile,
     merlin,
+    naive_profile,
     plan_shards,
 )
 from repro.detectors.matrix_profile import (
     ApproxReport,
     _DIAG_BLOCK,
+    _diagonal_sweep,
+    _finalize,
     default_kernel_jobs,
     set_default_kernel_jobs,
 )
 from repro.obs import canonical_records, tracing_session
 
-from test_matrix_profile_chunked import make_family
+from test_matrix_profile_chunked import assert_profiles_match, make_family
 
 
 def assert_bit_identical(base, got):
@@ -49,26 +60,47 @@ def assert_bit_identical(base, got):
         np.testing.assert_array_equal(got.indices, base.indices)
 
 
-class TestShardedEqualsSerial:
-    """Bit-identity of the sharded sweep across the PR 3 input families."""
+def whole_range_sweep(values, w, exclusion=None):
+    """One ``_diagonal_sweep`` over every diagonal: correlations + indices."""
+    stats = SlidingStats(values)
+    mean, inv, constant = stats.kernel_stats(w)
+    exclusion = w if exclusion is None else exclusion
+    best, bestj, _ = _diagonal_sweep(
+        stats.shifted, w, exclusion, mean, inv, need_indices=True
+    )
+    return best, bestj, constant, exclusion
 
-    def check(self, values, w, exclusion=None, jobs_values=(1,)):
-        base = matrix_profile(values, w, exclusion)
-        assert base.jobs is None and base.shards == 0
+
+def reference_profile(values, w, exclusion=None):
+    """Whole-range sweep + finalize: the bit-exact reference."""
+    best, bestj, constant, exclusion = whole_range_sweep(values, w, exclusion)
+    return _finalize(best, bestj, w, exclusion, constant)
+
+
+class TestShardedEqualsSerial:
+    """Bit-identity of the shard plan across the kernel's input families."""
+
+    def check(
+        self, values, w, exclusion=None, jobs_values=(None, 1), naive=True
+    ):
+        profile, indices = reference_profile(values, w, exclusion)
+        if naive:
+            reference = naive_profile(values, w, exclusion)
+            assert_profiles_match(profile, reference.profile, w)
         m = values.size - w + 1
         effective = w if exclusion is None else exclusion
         for jobs in jobs_values:
             got = matrix_profile(values, w, exclusion, jobs=jobs)
-            assert got.jobs == jobs
+            assert got.jobs == (1 if jobs is None else jobs)
             # an empty diagonal range (exclusion >= m) has nothing to
             # shard; everywhere else the plan yields at least one shard
             assert (got.shards >= 1) == (effective < m)
-            assert_bit_identical(base, got)
+            np.testing.assert_array_equal(got.profile, profile)
+            np.testing.assert_array_equal(got.indices, indices)
             fast = matrix_profile(
                 values, w, exclusion, with_indices=False, jobs=jobs
             )
-            np.testing.assert_array_equal(fast.profile, base.profile)
-        return base
+            np.testing.assert_array_equal(fast.profile, profile)
 
     @given(
         st.sampled_from(["walk", "constant", "spikes", "near_constant"]),
@@ -80,7 +112,9 @@ class TestShardedEqualsSerial:
         # n large enough that plan_shards yields several shards for
         # every w drawn; jobs=1 keeps the identical plan in-process
         values = make_family(kind, seed, 1500)
-        self.check(values, w)
+        # the floored-std near-constant family is outside the naive
+        # kernel's 1e-8 contract (see the chunked-sweep tests)
+        self.check(values, w, naive=kind != "near_constant")
 
     @given(st.integers(0, 2**16), st.sampled_from([0, 1, 3, 8, 500, 2000]))
     @settings(max_examples=10, deadline=None)
@@ -95,7 +129,8 @@ class TestShardedEqualsSerial:
         # the shard count, odd and even windows
         for kind, w in (("walk", 64), ("spikes", 33), ("constant", 10)):
             values = make_family(kind, 3, 4000)
-            self.check(values, w, jobs_values=(2, 3, 7))
+            # naive parity is covered at smaller n by the property grids
+            self.check(values, w, jobs_values=(None, 1, 2, 3, 7), naive=False)
 
     def test_shard_boundary_ties_resolve_first_occurrence(self):
         # a tiled motif makes whole diagonals exactly tied across shard
@@ -103,11 +138,12 @@ class TestShardedEqualsSerial:
         # sweep's first-occurrence picks, not "any tied neighbour"
         motif = np.sin(np.linspace(0, 4 * np.pi, 80))
         values = np.concatenate([motif] * 40)  # n=3200, ties everywhere
-        base = matrix_profile(values, 16)
-        for jobs in (1, 2, 3):
+        profile, indices = reference_profile(values, 16)
+        for jobs in (None, 1, 2, 3):
             got = matrix_profile(values, 16, jobs=jobs)
             assert got.shards > 1
-            assert_bit_identical(base, got)
+            np.testing.assert_array_equal(got.profile, profile)
+            np.testing.assert_array_equal(got.indices, indices)
 
     def test_jobs_validation(self):
         values = make_family("walk", 1, 500)
@@ -320,14 +356,102 @@ class TestShardTraces:
         assert names.count("mpx.shard") == base.shards
         assert metrics_one["counters"]["mpx_shards"] == base.shards
 
-    def test_serial_trace_shape_unchanged(self):
-        # jobs=None must keep the historical span tree: no shard spans,
-        # no shard counter — the refactor cannot disturb existing traces
-        values = make_family("walk", 31, 1200)
-        with tracing_session() as (tracer, registry):
-            matrix_profile(values, 24)
-            names = [r["name"] for r in canonical_records(tracer.export())]
-            metrics = registry.snapshot(histogram_values=False)
-        assert "mpx.shard" not in names
-        assert "mpx.profile" in names
-        assert "mpx_shards" not in metrics["counters"]
+    def test_default_jobs_trace_equals_jobs_one(self):
+        # jobs=None is the in-process shard plan, not a separate path:
+        # its trace and metrics are record-for-record those of jobs=1
+        values = make_family("walk", 31, 3000)
+        traces = {}
+        for jobs in (None, 1):
+            with tracing_session() as (tracer, registry):
+                result = matrix_profile(values, 24, jobs=jobs)
+                records = canonical_records(tracer.export())
+                metrics = registry.snapshot(histogram_values=False)
+            traces[jobs] = (records, metrics)
+        assert result.shards > 1
+        assert traces[None] == traces[1]
+        records, metrics = traces[None]
+        assert metrics["counters"]["mpx_shards"] == result.shards
+        parents = {r["id"]: r["name"] for r in records}
+        # mpx.profile > mpx.shard > mpx.block > mpx.chunk
+        for name, parent in (
+            ("mpx.shard", "mpx.profile"),
+            ("mpx.block", "mpx.shard"),
+            ("mpx.chunk", "mpx.block"),
+        ):
+            assert {
+                parents[r["parent"]] for r in records if r["name"] == name
+            } == {parent}
+
+
+def periodic_with_anomaly(seed, n=3000, period=32):
+    """A near-noiseless sine with one ramp: a single sharp discord.
+
+    With ``w`` a multiple of the 32-sample period, every shard boundary
+    (``w`` plus whole 128-diagonal blocks) is a whole number of periods,
+    so each shard alone already finds near-perfect matches for the rows
+    it covers.  The ramp sits in the middle, where the rows of the
+    trailing shards (those starting past m/2) find neighbours only in
+    other shards — the layout that exposes a shard-local abandon check.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    values = np.sin(2 * np.pi * t / period) + 0.001 * rng.normal(size=n)
+    start = int(rng.integers(21 * n // 50, 28 * n // 50))
+    values[start : start + 30] += np.linspace(0, 2, 30)
+    return values
+
+
+class TestEarlyAbandon:
+    """Abandonment follows the exact-profile rule for every ``jobs``."""
+
+    def test_shard_saturation_is_not_global_saturation(self):
+        # the trailing shards start past m/2, so rows in their middle
+        # band take neighbours from other shards only; the discord sits
+        # there, and no shard may call the profile saturated without it
+        rng = np.random.default_rng(1)
+        t = np.arange(6000)
+        values = np.sin(2 * np.pi * t / 50) + 0.001 * rng.normal(size=6000)
+        values[3000:3030] += np.linspace(0, 2, 30)
+        exact = discord_search(values, 20)
+        assert exact[0] == 3029
+        assert exact[1] == pytest.approx(3.2852, abs=1e-4)
+        assert exact[1] / np.sqrt(20) == pytest.approx(0.7346, abs=1e-4)
+        for floor in (0.70, 0.73):
+            for jobs in (None, 1, 2):
+                got = discord_search(
+                    values, 20, normalized_floor=floor, jobs=jobs
+                )
+                assert got == exact, (floor, jobs)
+        # above the discord's normalized distance every length-20 row
+        # has a close neighbour: abandoned, for every jobs
+        for jobs in (None, 1, 2):
+            assert (
+                discord_search(values, 20, normalized_floor=0.74, jobs=jobs)
+                is None
+            )
+
+    @given(
+        st.sampled_from(["walk", "spikes", "periodic"]),
+        st.integers(0, 2**16),
+        st.floats(0.5, 1.5),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_property_abandon_matches_exact_rule(self, kind, seed, scale):
+        w = 32
+        if kind == "periodic":
+            values = periodic_with_anomaly(seed)
+        else:
+            values = make_family(kind, seed, 3000)
+        best, _, _, _ = whole_range_sweep(values, w)
+        valid = np.isfinite(best)  # rows that have any admissible pair
+        top = float(np.sqrt(2.0 * (1.0 - best[valid].min())))
+        floor = scale * top  # straddles the abandon threshold
+        abandon = 1.0 - 0.5 * floor**2
+        expected = bool(np.all(best[valid] >= abandon))
+        plain = discord_search(values, w)
+        for jobs in (None, 1, 2):
+            got = discord_search(values, w, normalized_floor=floor, jobs=jobs)
+            if expected:
+                assert got is None, (jobs, floor)
+            else:
+                assert got == plain, (jobs, floor)
