@@ -49,6 +49,10 @@ _MAX_BODY = 64 * 1024 * 1024  # refuse absurd payloads before reading them
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: a reply split into small
+    # segments (the stdlib's send_error writes head and body apart) must
+    # not wait on the peer's delayed ACK under Nagle's algorithm
+    disable_nagle_algorithm = True
 
     # quiet by default: the access log is noise at bench rates
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -79,12 +83,23 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no head, as end_headers
+            self.wfile.write(body)
+            return
+        # status line, headers and body leave in one write, so a reply is
+        # one segment and never a head waiting for the peer to ACK it
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        if length < 0 or length > _MAX_BODY:
+            # the body is left unread, so nothing after it on this
+            # connection can be framed: answer 400, then close
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"bad Content-Length {raw!r}")
             raise ValueError(f"request body over {_MAX_BODY} bytes")
         if length == 0:
             return {}

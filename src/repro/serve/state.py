@@ -62,6 +62,7 @@ from ..stream.windows import TrailingExtremum, TrailingStats
 __all__ = ["snapshot", "restore", "SNAPSHOT_VERSION"]
 
 _MAGIC = b"RSNAP"
+_FIXED = struct.Struct("<BQ")  # version, header length
 SNAPSHOT_VERSION = 1
 
 
@@ -92,31 +93,56 @@ def _pack(kind: str, scalars: dict, arrays: dict[str, np.ndarray]) -> bytes:
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<BQ", SNAPSHOT_VERSION, len(header_bytes))]
+    parts = [_MAGIC, _FIXED.pack(SNAPSHOT_VERSION, len(header_bytes))]
     parts.append(header_bytes)
     parts.extend(normalized[name].tobytes() for name in ordered)
     return b"".join(parts)
 
 
 def _unpack(blob: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
+    # every malformed blob is a ValueError (a 400 over HTTP): a snapshot
+    # arrives from outside, so each length is checked before it is used
     if not blob.startswith(_MAGIC):
         raise ValueError("not a repro serve snapshot (bad magic)")
-    version, header_len = struct.unpack_from("<BQ", blob, len(_MAGIC))
+    offset = len(_MAGIC) + _FIXED.size
+    if len(blob) < offset:
+        raise ValueError(
+            f"snapshot truncated: {len(blob)} bytes, shorter than the "
+            f"{offset}-byte fixed header"
+        )
+    version, header_len = _FIXED.unpack_from(blob, len(_MAGIC))
     if version != SNAPSHOT_VERSION:
         raise ValueError(
             f"unsupported snapshot version {version}; this build reads "
             f"version {SNAPSHOT_VERSION}"
         )
-    offset = len(_MAGIC) + struct.calcsize("<BQ")
+    if header_len > len(blob) - offset:
+        raise ValueError(
+            f"snapshot truncated: {header_len}-byte header, "
+            f"{len(blob) - offset} bytes left"
+        )
     header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
     offset += header_len
+    required = {"kind", "scalars", "arrays"}
+    if not isinstance(header, dict) or not required <= header.keys():
+        raise ValueError("snapshot header lacks kind/scalars/arrays")
     arrays = {}
     for descriptor in header["arrays"]:
-        dtype = np.dtype(descriptor["dtype"])
-        shape = tuple(descriptor["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = dtype.itemsize * count
-        arrays[descriptor["name"]] = np.frombuffer(
+        try:
+            name = descriptor["name"]
+            dtype = np.dtype(descriptor["dtype"])
+            shape = tuple(int(size) for size in descriptor["shape"])
+        except (KeyError, TypeError) as error:
+            raise ValueError(
+                f"malformed snapshot array descriptor {descriptor!r}"
+            ) from error
+        nbytes = dtype.itemsize * int(np.prod(shape))
+        if nbytes > len(blob) - offset:
+            raise ValueError(
+                f"snapshot truncated: array {name!r} needs {nbytes} bytes, "
+                f"{len(blob) - offset} left"
+            )
+        arrays[name] = np.frombuffer(
             blob[offset : offset + nbytes], dtype=dtype
         ).reshape(shape)
         offset += nbytes

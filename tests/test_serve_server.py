@@ -1,4 +1,10 @@
-"""HTTP front: routes, status mapping, client retry, restore portability."""
+"""HTTP front: routes, status mapping, client retry, restore portability,
+and the wire contract (one write per reply, Nagle off, pipelining)."""
+
+import base64
+import http.client
+import json
+import socket
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from repro.serve import (
     ServeServer,
     StreamCluster,
 )
+from repro.serve.server import _Handler
 
 
 @pytest.fixture()
@@ -152,3 +159,209 @@ class TestRestoreOverHttp:
         with pytest.raises(ServeError) as caught:
             client.restore(snap)
         assert caught.value.status == 400
+
+
+# -- the wire ----------------------------------------------------------
+
+
+def raw_request(method, path, payload=None):
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    head = (
+        f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+def read_response(reader):
+    """One HTTP/1.1 response off a buffered socket reader."""
+    status = reader.readline()
+    if not status:
+        return None
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers["content-length"]))
+    return int(status.split()[1]), headers, body
+
+
+class _CountingSocket:
+    """A socket whose ``sendall`` calls are recorded, one entry each."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self._writes = writes
+
+    def sendall(self, data):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.fixture()
+def wire():
+    """A server whose handlers record TCP_NODELAY and every socket write."""
+    writes, nodelay = [], []
+
+    class Spy(_Handler):
+        def setup(self):
+            self.request = _CountingSocket(self.request, writes)
+            super().setup()
+            nodelay.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+    server = ServeServer(StreamCluster(num_shards=2))
+    server._httpd.RequestHandlerClass = Spy
+    with server:
+        yield server, writes, nodelay
+
+
+class TestWireContract:
+    def test_accepted_connection_has_nagle_off(self, wire):
+        server, _, nodelay = wire
+        ServeClient(server.address).health()
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_each_reply_is_one_write(self, wire):
+        server, writes, _ = wire
+        host, port = server._httpd.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+
+        def exchange(method, path, payload=None):
+            before = len(writes)
+            body = None if payload is None else json.dumps(payload)
+            conn.request(
+                method, path, body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            data = response.read()
+            # the whole response was read, so every write made for it
+            # has happened: no timing involved in this count
+            sent = writes[before:]
+            assert len(sent) == 1, (path, response.status, sent)
+            assert sent[0].startswith(f"HTTP/1.1 {response.status} ".encode())
+            assert sent[0].endswith(b"\r\n\r\n" + data)
+            return response
+
+        created = exchange(
+            "POST", "/v1/streams",
+            {"tenant": "acme", "stream": "s1", "detector": "diff",
+             "train": [0.0] * 20},
+        )
+        assert created.status == 201
+        assert exchange(
+            "POST", "/v1/streams/acme/s1/append", {"values": [1.0, 2.0]}
+        ).status == 202
+        scores = exchange("GET", "/v1/streams/acme/s1/scores")
+        assert scores.status == 200
+        assert sorted(name.lower() for name in scores.headers) == [
+            "content-length", "content-type", "date", "server",
+        ]
+        assert exchange(
+            "POST", "/v1/streams/acme/s1/append", {"values": []}
+        ).status == 400
+        assert exchange("GET", "/v2/nothing").status == 404
+        text = exchange("GET", "/metrics?format=prometheus")
+        assert text.status == 200
+        assert text.headers["Content-Type"].startswith("text/plain")
+
+        def full(tenant, stream, values):
+            raise Backpressure("shard-0", 0.25)
+
+        server.cluster.append = full
+        pressured = exchange(
+            "POST", "/v1/streams/acme/s1/append", {"values": [3.0]}
+        )
+        assert pressured.status == 429
+        assert pressured.headers["Retry-After"] == "0.250"
+        conn.close()
+
+    def test_pipelined_requests_answer_in_order(self, served):
+        client, server = served
+        client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        host, port = server._httpd.server_address[:2]
+        requests = [
+            raw_request("POST", "/v1/streams/acme/s1/append",
+                        {"values": [float(i)]})
+            if i % 2 == 0
+            else raw_request("GET", "/v1/streams/acme/s1/scores")
+            for i in range(50)
+        ]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"".join(requests))
+            reader = sock.makefile("rb")
+            for i in range(50):
+                status, _, body = read_response(reader)
+                payload = json.loads(body)
+                if i % 2 == 0:
+                    assert (status, payload["queued"]) == (202, 1)
+                else:
+                    # each read is a barrier behind the appends before it
+                    assert status == 200
+                    assert payload["total"] == (i + 1) // 2
+
+    def test_http09_request_gets_the_bare_body(self, served):
+        # a request line without a version is HTTP/0.9: no status line
+        # and no headers go back, only the body, then the server closes
+        _, server = served
+        host, port = server._httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            reply = sock.makefile("rb").read()
+        assert json.loads(reply)["ok"] is True
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("length", ("-1", "12abc", "+5"))
+    def test_bad_content_length_is_400_then_close(self, served, length):
+        # -1 used to reach rfile.read(-1): the handler read until the
+        # client hung up and never answered
+        client, server = served
+        client.create_stream("acme", "s1", "diff", np.arange(20.0))
+        host, port = server._httpd.server_address[:2]
+        head = (
+            "POST /v1/streams/acme/s1/append HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(head.encode("ascii"))
+            reader = sock.makefile("rb")
+            status, _, body = read_response(reader)
+            assert status == 400
+            assert "Content-Length" in json.loads(body)["error"]
+            # the unread body cannot be framed, so the server closes
+            assert read_response(reader) is None
+        assert client.scores("acme", "s1")["total"] == 0
+
+    def test_truncated_snapshot_is_400_and_connection_survives(
+        self, served
+    ):
+        client, server = served
+        client.create_stream("acme", "s1", "diff", np.arange(30.0))
+        snap = client.snapshot("acme", "s1")
+        blob = base64.b64decode(snap["state"])
+        snap["stream"] = "s2"
+        snap["state"] = base64.b64encode(blob[:10]).decode("ascii")
+        host, port = server._httpd.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.request(
+            "POST", "/v1/restore", body=json.dumps(snap),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "truncated" in json.loads(response.read())["error"]
+        sock = conn.sock
+        conn.request("GET", "/healthz")
+        health = conn.getresponse()
+        assert health.status == 200 and json.loads(health.read())["ok"]
+        assert conn.sock is sock  # same keep-alive connection
+        conn.close()

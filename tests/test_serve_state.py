@@ -7,6 +7,9 @@ stream's, across the PR 3 kernel input families, odd and even window
 lengths, and snapshot points taken mid-egress.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,41 @@ class TestCodecFormat:
         with pytest.raises(ValueError):
             restore(blob[:-3])
 
+    def test_header_past_the_end_rejected(self):
+        blob = bytearray(self.make_blob())
+        blob[6:14] = struct.pack("<Q", len(blob))
+        with pytest.raises(ValueError, match="truncated"):
+            restore(bytes(blob))
+
+    @staticmethod
+    def blob_with_header(header):
+        raw = json.dumps(header).encode("utf-8")
+        return b"RSNAP" + struct.pack("<BQ", SNAPSHOT_VERSION, len(raw)) + raw
+
+    @pytest.mark.parametrize("missing", ("kind", "scalars", "arrays"))
+    def test_header_missing_field_rejected(self, missing):
+        # a KeyError here used to surface as 404 over HTTP
+        header = {"kind": "stream_profile", "scalars": {}, "arrays": []}
+        del header[missing]
+        with pytest.raises(ValueError, match="lacks"):
+            restore(self.blob_with_header(header))
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        (
+            {"dtype": "<f8", "shape": [0]},
+            {"name": "x", "dtype": "no-such-dtype", "shape": [0]},
+            {"name": "x", "dtype": "<f8", "shape": None},
+            "x",
+        ),
+    )
+    def test_malformed_array_descriptor_rejected(self, descriptor):
+        header = {
+            "kind": "stream_profile", "scalars": {}, "arrays": [descriptor]
+        }
+        with pytest.raises(ValueError, match="descriptor"):
+            restore(self.blob_with_header(header))
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError, match="trailing"):
             restore(self.make_blob() + b"xx")
@@ -188,3 +226,32 @@ class TestCodecFormat:
         restored = restore(snapshot(profile))
         tail = make_family("constant", 5, 40)
         assert profile.append(tail).tobytes() == restored.append(tail).tobytes()
+
+
+DETECTORS = {
+    "mpx_detector": lambda: StreamingMatrixProfileDetector(w=8),
+    "zscore_detector": lambda: StreamingZScoreDetector(k=20),
+    "range_detector": lambda: StreamingRangeDetector(k=12),
+    "batch_adapter": lambda: as_streaming("diff", window=50),
+}
+
+
+@pytest.mark.parametrize("kind", ["stream_profile", *DETECTORS])
+def test_every_truncation_is_a_value_error(kind):
+    # a snapshot arrives over the wire: any prefix of a real blob (cut
+    # in the fixed header, the JSON header or an array payload) must be
+    # refused as malformed, never escape as struct.error or KeyError
+    values = make_family("walk", 3, 160)
+    if kind == "stream_profile":
+        live = StreamingMatrixProfile(8, max_history=60)
+        live.append(values)
+    else:
+        live = DETECTORS[kind]()
+        live.fit(values[:80])
+        live.update(values[80:])
+    blob = snapshot(live)
+    assert blob[14:].startswith(b'{"arrays":[{')  # payloads to cut into
+    restore(blob)  # the whole blob is fine
+    for length in range(len(blob)):
+        with pytest.raises(ValueError):
+            restore(blob[:length])
